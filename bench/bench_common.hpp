@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
 
 #include "scenarios/experiment.hpp"
@@ -40,6 +41,15 @@ inline std::vector<stats::NamedSummary> reduce_latency(
 inline void print_latency(const std::vector<stats::NamedSummary>& rows) {
   std::printf("%s", stats::render_summary_table(rows).c_str());
   std::printf("\n%s\n", stats::render_box_plots(rows).c_str());
+}
+
+/// Exit code of a bench whose legs all ran: the first failing leg's code,
+/// 0 when every leg passed.
+inline int first_failure(std::initializer_list<int> codes) {
+  for (const int c : codes) {
+    if (c != 0) return c;
+  }
+  return 0;
 }
 
 /// Everything the fig4/fig5 gates measure, kept so the bench can emit one

@@ -40,24 +40,19 @@ int main() {
   // the zero-copy RX pipeline (multishot ring + mbuf loans) must do the
   // same on the receive side with ZERO receive-sockbuf copies. The v3
   // uring gate then requires >= 2x fewer crossings than those batch paths
-  // with zero crossings per op in steady state, and the whole census lands
-  // in BENCH_fig4.json for the cross-PR trajectory.
+  // with zero crossings per op in steady state. The hardware-offload
+  // ablation follows: TSO on vs off over the same zc volume must amortize
+  // TX descriptors >= 2x (and the uring gate already pinned
+  // stack_checksum_bytes == 0 on the offload-negotiated default path).
+  //
+  // Every leg runs whatever an earlier gate decided (the later gates only
+  // read numbers `art` already holds), so BENCH_fig4.json carries measured
+  // numbers for each leg; the exit code is the first failing leg's.
   BenchArtifacts art;
   const int tx = run_census_gate(ScenarioKind::kScenario1, opt, &art);
-  const int rx =
-      tx == 0 ? run_rx_census_gate(ScenarioKind::kScenario1, opt, &art) : 0;
-  const int ur =
-      tx == 0 && rx == 0 ? run_uring_gate(ScenarioKind::kScenario1, opt, &art)
-                         : 0;
-  // Hardware-offload ablation: TSO on vs off over the same zc volume must
-  // amortize TX descriptors >= 2x (and the uring gate above already pinned
-  // stack_checksum_bytes == 0 on the offload-negotiated default path).
-  const int off =
-      tx == 0 && rx == 0 && ur == 0
-          ? run_offload_gate(ScenarioKind::kScenario1, opt, &art)
-          : 0;
-  // Emit whatever was measured even when a gate failed: a stale artifact
-  // from a previous (passing) run would misreport the perf trajectory.
+  const int rx = run_rx_census_gate(ScenarioKind::kScenario1, opt, &art);
+  const int ur = run_uring_gate(ScenarioKind::kScenario1, opt, &art);
+  const int off = run_offload_gate(ScenarioKind::kScenario1, opt, &art);
   emit_bench_json("fig4", art);
-  return tx != 0 ? tx : rx != 0 ? rx : ur != 0 ? ur : off;
+  return first_failure({tx, rx, ur, off});
 }

@@ -38,34 +38,22 @@ int main() {
   // On the receive side, the armed multishot ring + loan bursts must beat
   // per-call epoll_wait + ff_read by the same factor with zero copies.
   // The v3 uring gate then requires >= 2x fewer crossings than those batch
-  // paths with zero crossings per op in steady state (doorbell-only), and
-  // the whole census lands in BENCH_fig5.json.
+  // paths with zero crossings per op in steady state (doorbell-only). The
+  // hardware-offload ablation (TSO descriptor amortization) and the
+  // lossy-wire leg follow: bit-flip corruption on the peer's egress must be
+  // fully accounted by the Morello port's FCS rejects + RX checksum
+  // verdicts while the stream still delivers every byte.
+  //
+  // Every leg runs whatever an earlier gate decided (the later gates only
+  // read numbers `art` already holds), so BENCH_fig5.json carries measured
+  // numbers for each leg; the exit code is the first failing leg's.
+  const ScenarioKind kind = ScenarioKind::kScenario2Uncontended;
   BenchArtifacts art;
-  const int tx = run_census_gate(ScenarioKind::kScenario2Uncontended, opt,
-                                 &art);
-  const int rx =
-      tx == 0
-          ? run_rx_census_gate(ScenarioKind::kScenario2Uncontended, opt, &art)
-          : 0;
-  const int ur =
-      tx == 0 && rx == 0
-          ? run_uring_gate(ScenarioKind::kScenario2Uncontended, opt, &art)
-          : 0;
-  // Hardware-offload ablation (TSO descriptor amortization) and the
-  // lossy-wire leg: bit-flip corruption on the peer's egress must be fully
-  // accounted by the Morello port's FCS rejects + RX checksum verdicts
-  // while the stream still delivers every byte.
-  const int off =
-      tx == 0 && rx == 0 && ur == 0
-          ? run_offload_gate(ScenarioKind::kScenario2Uncontended, opt, &art)
-          : 0;
-  const int lw =
-      tx == 0 && rx == 0 && ur == 0 && off == 0
-          ? run_lossy_wire_gate(ScenarioKind::kScenario2Uncontended, opt,
-                                &art)
-          : 0;
-  // Emit whatever was measured even when a gate failed: a stale artifact
-  // from a previous (passing) run would misreport the perf trajectory.
+  const int tx = run_census_gate(kind, opt, &art);
+  const int rx = run_rx_census_gate(kind, opt, &art);
+  const int ur = run_uring_gate(kind, opt, &art);
+  const int off = run_offload_gate(kind, opt, &art);
+  const int lw = run_lossy_wire_gate(kind, opt, &art);
   emit_bench_json("fig5", art);
-  return tx != 0 ? tx : rx != 0 ? rx : ur != 0 ? ur : off != 0 ? off : lw;
+  return first_failure({tx, rx, ur, off, lw});
 }

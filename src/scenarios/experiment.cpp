@@ -766,6 +766,7 @@ CrossingCensus run_ffwrite_crossing_census(ScenarioKind kind,
   auto& iv = tb.intravisor();
   auto& clock = tb.clock();
   auto& arb = tb.arbiter();
+  arb.set_mode(sim::ArbiterMode::kBaton);  // counts, not wall clock
   std::atomic<bool> stop{false};
 
   // The census measures the cost of *queueing* a byte volume, so the send
@@ -1045,6 +1046,7 @@ RxCensus run_ffrecv_rx_census(ScenarioKind kind, std::uint64_t total_bytes,
   auto& iv = tb.intravisor();
   auto& clock = tb.clock();
   auto& arb = tb.arbiter();
+  arb.set_mode(sim::ArbiterMode::kBaton);  // counts, not wall clock
   std::atomic<bool> stop{false};
   const InstanceConfig icfg = tb.morello_cfg(0);
 
@@ -1473,6 +1475,7 @@ UringCensus run_uring_tx_census(ScenarioKind kind, std::uint64_t total_bytes,
   auto& iv = tb.intravisor();
   auto& clock = tb.clock();
   auto& arb = tb.arbiter();
+  arb.set_mode(sim::ArbiterMode::kBaton);  // counts, not wall clock
   std::atomic<bool> stop{false};
 
   // Like the v1/v2 census: the send buffer holds the whole volume so the
@@ -1604,6 +1607,7 @@ UringCensus run_uring_rx_census(ScenarioKind kind, std::uint64_t total_bytes,
   auto& iv = tb.intravisor();
   auto& clock = tb.clock();
   auto& arb = tb.arbiter();
+  arb.set_mode(sim::ArbiterMode::kBaton);  // counts, not wall clock
   std::atomic<bool> stop{false};
   const InstanceConfig icfg = tb.morello_cfg(0);
 

@@ -2,6 +2,15 @@
 // dual-port 82576 + wires + peer hosts) and runs the paper's evaluation
 // configurations end to end. Each bench binary is a thin printer over
 // run_bandwidth() (Table II) and run_ffwrite_latency() (Figures 4-6).
+//
+// Arbiter modes (sim/time_arbiter.hpp). run_bandwidth() and
+// run_ffwrite_latency() keep the free-running arbiter: wall-clock
+// behaviour — latency, mutex contention — is what they measure. The four
+// crossing censuses behind the Fig. 4/5 gates (run_ffwrite_crossing_census,
+// run_ffrecv_rx_census, run_uring_tx_census, run_uring_rx_census) switch
+// their own testbed's arbiter to baton mode before any thread starts: the
+// stack, app and peer loops take turns, so a census is a function of code
+// and seed, identical on every run whatever the host's load or core count.
 #pragma once
 
 #include <array>
@@ -216,7 +225,8 @@ struct CrossingCensus {
 
 /// Drive `total_bytes` of MSS-sized writes through one endpoint of `kind`
 /// (kScenario1 or kScenario2Uncontended) with `batch` iovecs per call and
-/// count the crossings. batch = 1 is exactly the v1 per-call path.
+/// count the crossings. batch = 1 is exactly the v1 per-call path. Runs on
+/// a baton-mode arbiter: the count is the same on every run.
 [[nodiscard]] CrossingCensus run_ffwrite_crossing_census(
     ScenarioKind kind, std::uint64_t total_bytes, std::size_t batch,
     const TestbedOptions& opt = TestbedOptions{});
@@ -244,7 +254,9 @@ struct RxCensus {
 /// Receive `total_bytes` of TCP payload from the peer through one endpoint
 /// of `kind` (kScenario1 or kScenario2Uncontended). zero_copy = false is
 /// the per-call v1 path (epoll_wait + ff_read per envelope); true is the
-/// multishot + ff_zc_recv/ff_zc_recycle_batch pipeline.
+/// multishot + ff_zc_recv/ff_zc_recycle_batch pipeline. Runs on a
+/// baton-mode arbiter: how many loans each zc drain finds — and so the
+/// crossing count — is the same on every run.
 [[nodiscard]] RxCensus run_ffrecv_rx_census(
     ScenarioKind kind, std::uint64_t total_bytes, bool zero_copy,
     const TestbedOptions& opt = TestbedOptions{});
@@ -308,6 +320,8 @@ struct UringCensus {
 /// writable mbuf data rooms, the payload is composed in place, OP_ZC_SEND
 /// queues retained references held until cumulative ACK; the gate requires
 /// zero send-side byte copies at the same doorbell-only crossing budget.
+/// Both uring censuses run on a baton-mode arbiter, so the doorbell count
+/// (rung after idle app turns) is the same on every run.
 [[nodiscard]] UringCensus run_uring_tx_census(
     ScenarioKind kind, std::uint64_t total_bytes,
     const TestbedOptions& opt = TestbedOptions{}, bool zero_copy = false);

@@ -11,6 +11,26 @@
 // This is the standard conservative co-simulation scheme: virtual time only
 // advances when no participant can make progress at the current instant, so
 // wire pacing and protocol timers interleave exactly as on the real testbed.
+//
+// Two modes order the participants WITHIN one virtual instant:
+//
+//  * Free-running (the default). Every participant is its own host thread
+//    and runs whenever the host schedules it; a kick or an advance wakes all
+//    parked waiters at once. Who polls how often inside one instant is up
+//    to the host scheduler. Runs that measure wall-clock behaviour use this
+//    mode: the ff_write latency probes, run_bandwidth (Table II, Fig. 6,
+//    the locking ablation), the TSan suites and the emulator benchmark.
+//
+//  * Baton. Exactly one participant runs between two park points: it holds
+//    the baton until it parks (or retires), then the baton passes to the
+//    next runnable participant in round-robin NAME order — runnable meaning
+//    kicked since its token or past its deadline. Only when nobody is
+//    runnable does the clock advance, exactly as above. Each participant
+//    waits on its own condition variable, so a hand-off wakes one thread.
+//    The interleaving is then a function of code and seed alone, provided
+//    every participant has a distinct name, enrolls before the startup
+//    gate opens (in this mode nobody runs until it does), and runs on its
+//    own thread. The crossing censuses behind the Fig. 4/5 gates use it.
 #pragma once
 
 #include <condition_variable>
@@ -64,7 +84,16 @@ class Participant {
   std::string name_;
   std::optional<Ns> deadline_;
   bool parked_ = false;
+  // Baton mode only: enrolled but not yet run, the kick epoch the park was
+  // prepared at, and the condition variable a hand-off wakes.
+  bool starting_ = false;
+  std::uint64_t token_ = 0;
+  std::condition_variable baton_cv_;
 };
+
+/// How the arbiter orders participants within one virtual instant (see the
+/// file header).
+enum class ArbiterMode : std::uint8_t { kFreeRunning, kBaton };
 
 /// Coordinates virtual-time advancement across all registered participants.
 class TimeArbiter {
@@ -83,6 +112,9 @@ class TimeArbiter {
   /// (SYN retransmission backoffs) before its peers even exist.
   void expect_participants(std::size_t n);
 
+  /// Select the mode. Only before the first participant enrolls.
+  void set_mode(ArbiterMode mode);
+
   [[nodiscard]] VirtualClock& clock() noexcept { return clock_; }
 
   /// Number of currently registered participants (for tests).
@@ -98,6 +130,19 @@ class TimeArbiter {
   /// participant announced a deadline.
   void try_advance_locked();
 
+  // Baton mode. Pre: lock held.
+  void enroll_baton_locked(Participant* p, std::unique_lock<std::mutex>& lk);
+  void retire_baton_locked(Participant* p);
+  bool wait_baton_locked(Participant* p, std::uint64_t token,
+                         std::optional<Ns> deadline,
+                         std::unique_lock<std::mutex>& lk);
+  [[nodiscard]] bool runnable_locked(const Participant* m) const;
+  /// Hand the baton to the first runnable member after `after` in name
+  /// order (wrapping round, `after` itself last; from the start when
+  /// empty). When nobody is runnable, advance the clock and look again.
+  /// Throws SimDeadlock if every member is parked without a deadline.
+  void pass_baton_locked(const std::string& after);
+
   VirtualClock& clock_;
   mutable std::mutex m_;
   std::condition_variable cv_;
@@ -105,6 +150,8 @@ class TimeArbiter {
   std::uint64_t kick_epoch_ = 0;
   std::size_t expected_ = 0;
   std::size_t peak_enrolled_ = 0;
+  ArbiterMode mode_ = ArbiterMode::kFreeRunning;
+  Participant* holder_ = nullptr;  // baton mode: who runs; null = idle
 };
 
 }  // namespace cherinet::sim

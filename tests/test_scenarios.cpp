@@ -381,6 +381,26 @@ TEST(Scenario2Proxy, UringServesTheReceiveSideAcrossCompartments) {
   EXPECT_LT(ring_crossings.load(), 48u);
 }
 
+// The census runs take turns on the virtual clock (baton-mode arbiter), so
+// the counts the Fig. 5 gates compare are a function of code and seed, not
+// of how the host schedules the stack, app and peer threads.
+TEST(Census, Scenario2ZeroCopyRxCensusIsDeterministic) {
+  constexpr std::uint64_t kBytes = 256 * 1024;
+  const auto a =
+      run_ffrecv_rx_census(ScenarioKind::kScenario2Uncontended, kBytes, true);
+  const auto b =
+      run_ffrecv_rx_census(ScenarioKind::kScenario2Uncontended, kBytes, true);
+  EXPECT_EQ(a.bytes, kBytes);
+  EXPECT_GT(a.crossings, 0u);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.api_calls, b.api_calls);
+  EXPECT_EQ(a.crossings, b.crossings);
+  EXPECT_EQ(a.copied_bytes, b.copied_bytes);
+  EXPECT_EQ(a.zc_loans, b.zc_loans);
+  EXPECT_EQ(a.zc_recycles, b.zc_recycles);
+  EXPECT_EQ(a.modeled_ns_per_mib, b.modeled_ns_per_mib);
+}
+
 TEST(Containment, AppCvmEscapeAttemptIsContainedFig3) {
   MorelloTestbed tb(fast_options());
   auto& iv = tb.intravisor();

@@ -2,7 +2,10 @@
 // detection), cost model, and the statistics pipeline the figures use.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "sim/cost_model.hpp"
 #include "sim/time_arbiter.hpp"
@@ -80,6 +83,122 @@ TEST(TimeArbiter, MissedKickRaceIsClosedByPrepareToken) {
 TEST(TimeArbiter, AllParkedWithoutDeadlineIsDeadlock) {
   sim::VirtualClock clock;
   sim::TimeArbiter arb(clock);
+  sim::Participant p(arb, "only");
+  EXPECT_THROW((void)p.idle_until(std::nullopt), sim::SimDeadlock);
+}
+
+// ---------------------------------------------------------------- baton
+
+namespace {
+
+/// Enroll one baton-mode participant per name, in `enroll_order`; each logs
+/// its name on every turn, three turns apiece. Returns the log.
+std::string baton_run_order(const std::vector<std::string>& enroll_order) {
+  sim::VirtualClock clock;
+  sim::TimeArbiter arb(clock);
+  arb.set_mode(sim::ArbiterMode::kBaton);
+  arb.expect_participants(enroll_order.size());
+  std::string log;  // only the baton holder touches it
+  std::vector<std::thread> ts;
+  for (const std::string& name : enroll_order) {
+    const std::size_t before = arb.participant_count();
+    ts.emplace_back([&, name] {
+      sim::Participant p(arb, name);
+      for (int turn = 0; turn < 3; ++turn) {
+        log += name;
+        p.idle_until(clock.now() + Ns{100});
+      }
+    });
+    // Enrollment order is forced: the next thread starts only after this
+    // one has enrolled.
+    while (arb.participant_count() == before) std::this_thread::yield();
+  }
+  for (auto& t : ts) t.join();
+  return log;
+}
+
+}  // namespace
+
+TEST(TimeArbiterBaton, RunOrderIsIndependentOfEnrollmentOrder) {
+  const std::string fwd = baton_run_order({"a", "b", "c"});
+  const std::string rev = baton_run_order({"c", "b", "a"});
+  const std::string mid = baton_run_order({"b", "c", "a"});
+  EXPECT_EQ(fwd, "abcabcabc");
+  EXPECT_EQ(rev, fwd);
+  EXPECT_EQ(mid, fwd);
+}
+
+TEST(TimeArbiterBaton, KickFromNonParticipantHandsOverIdleBaton) {
+  sim::VirtualClock clock;
+  sim::TimeArbiter arb(clock);
+  arb.set_mode(sim::ArbiterMode::kBaton);
+  arb.expect_participants(2);
+  std::atomic<bool> woke{false};
+  std::thread a([&] {
+    sim::Participant p(arb, "a");
+    // Parked without a deadline: only a kick can hand the baton back.
+    EXPECT_TRUE(p.wait(p.prepare(), std::nullopt));
+    woke = true;
+  });
+  // "b" runs once "a" parks and retires at once: everyone left is parked
+  // without a deadline, so the baton goes idle instead of throwing from
+  // b's destructor.
+  std::thread b([&] { sim::Participant p(arb, "b"); });
+  b.join();
+  EXPECT_EQ(arb.participant_count(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(woke);
+  arb.kick();  // the shutdown pattern: stop flag set, then kick
+  a.join();
+  EXPECT_TRUE(woke);
+}
+
+TEST(TimeArbiterBaton, RetiringHolderPassesTheBatonOn) {
+  sim::VirtualClock clock;
+  sim::TimeArbiter arb(clock);
+  arb.set_mode(sim::ArbiterMode::kBaton);
+  arb.expect_participants(2);
+  std::atomic<bool> b_ran{false};
+  std::thread a([&] {
+    sim::Participant p(arb, "a");  // first by name: holds the baton
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(b_ran);  // b cannot run while a holds the baton
+  });                     // retiring hands it on
+  std::thread b([&] {
+    sim::Participant p(arb, "b");
+    b_ran = true;
+  });
+  a.join();
+  b.join();
+  EXPECT_TRUE(b_ran);
+}
+
+TEST(TimeArbiterBaton, AlreadyKickedTokenReturnsAtOnceKeepingTheBaton) {
+  sim::VirtualClock clock;
+  sim::TimeArbiter arb(clock);
+  arb.set_mode(sim::ArbiterMode::kBaton);
+  arb.expect_participants(2);
+  std::atomic<bool> q_ran{false};
+  std::thread p_thread([&] {
+    sim::Participant p(arb, "p");
+    const auto token = p.prepare();
+    arb.kick();  // kick lands between prepare and wait
+    EXPECT_TRUE(p.wait(token, std::nullopt));  // returns immediately...
+    EXPECT_FALSE(q_ran);  // ...without handing the baton to q
+  });
+  std::thread q_thread([&] {
+    sim::Participant q(arb, "q");
+    q_ran = true;
+  });
+  p_thread.join();
+  q_thread.join();
+  EXPECT_TRUE(q_ran);
+}
+
+TEST(TimeArbiterBaton, AllParkedWithoutDeadlineIsDeadlock) {
+  sim::VirtualClock clock;
+  sim::TimeArbiter arb(clock);
+  arb.set_mode(sim::ArbiterMode::kBaton);
   sim::Participant p(arb, "only");
   EXPECT_THROW((void)p.idle_until(std::nullopt), sim::SimDeadlock);
 }
